@@ -327,8 +327,8 @@ func E8CoAllocation(cfg Config) ([]Table, error) {
 		ds := stats.Summarize(delays)
 		var localBSLD float64
 		var localN int
-		for _, outs := range g.LocalOutcomes() {
-			r := cfg.report("", "", outs, cfg.Nodes/2)
+		for _, site := range g.Sites { // a fixed order keeps the float sum reproducible
+			r := cfg.report("", "", site.LocalOutcomes(), cfg.Nodes/2)
 			if r.Finished > 0 {
 				localBSLD += r.BSLD.Mean * float64(r.Finished) //schedlint:allow floatsum finished-weighted recombination of per-site collector means; golden-locked arithmetic
 				localN += r.Finished

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -329,5 +330,26 @@ func TestE10ScoreboardShape(t *testing.T) {
 	}
 	if weightedAgree/totalPairs < 60 {
 		t.Errorf("overall fidelity agreement %.1f%% below 60%%", weightedAgree/totalPairs)
+	}
+}
+
+// TestE8TypedMetricsBitIdentical reruns E8 at one seed and requires
+// every typed metric to repeat bit for bit. Its local slowdown sums
+// per-site products, so it must visit the sites in a fixed order;
+// printed tables round the difference away, the metrics do not.
+func TestE8TypedMetricsBitIdentical(t *testing.T) {
+	first := runQuick(t, "E8")[0].Metrics
+	for rerun := 0; rerun < 5; rerun++ {
+		again := runQuick(t, "E8")[0].Metrics
+		if len(again) != len(first) {
+			t.Fatalf("rerun %d: %d metrics, want %d", rerun, len(again), len(first))
+		}
+		for i := range first {
+			a, b := first[i], again[i]
+			if a.Name != b.Name || math.Float64bits(a.Value) != math.Float64bits(b.Value) {
+				t.Fatalf("rerun %d: metric %s %s = %v, first run %s = %v",
+					rerun, b.LabelKey(), b.Name, b.Value, a.Name, a.Value)
+			}
+		}
 	}
 }

@@ -242,18 +242,25 @@ func (g *Grid) MetaOutcomes() ([]metrics.Outcome, int) {
 	return outs, lost
 }
 
+// LocalOutcomes returns the site's local-job outcomes (meta jobs
+// excluded).
+func (s *Site) LocalOutcomes() []metrics.Outcome {
+	var locals []metrics.Outcome
+	for _, o := range s.Instance.Outcomes() {
+		if o.JobID < metaIDBase {
+			locals = append(locals, o)
+		}
+	}
+	return locals
+}
+
 // LocalOutcomes returns every site's local-job outcomes (meta jobs
-// excluded), keyed by site name.
+// excluded), keyed by site name. Code that combines them numerically
+// should range over Sites instead, so the order is fixed.
 func (g *Grid) LocalOutcomes() map[string][]metrics.Outcome {
 	out := map[string][]metrics.Outcome{}
 	for _, s := range g.Sites {
-		var locals []metrics.Outcome
-		for _, o := range s.Instance.Outcomes() {
-			if o.JobID < metaIDBase {
-				locals = append(locals, o)
-			}
-		}
-		out[s.Name] = locals
+		out[s.Name] = s.LocalOutcomes()
 	}
 	return out
 }

@@ -71,6 +71,18 @@ func (h *Header) SetAllowOveruse(v bool) {
 	h.hasOveruse = true
 }
 
+// foldComment records one comment line (its leading ';' stripped): a
+// fixed-format header comment sets its field, any other comment is kept
+// in Extra.
+//
+//schedlint:coldpath header comments precede the data, a few per file
+func (h *Header) foldComment(body []byte) {
+	line := string(body)
+	if !h.parseHeaderLine(line) {
+		h.Extra = append(h.Extra, strings.TrimSpace(line))
+	}
+}
+
 // parseHeaderLine interprets one comment line (with the leading ';'
 // stripped). It returns false if the line is not a recognized fixed-
 // format header comment, in which case the caller records it as Extra.

@@ -2,7 +2,6 @@ package swf
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -51,38 +50,21 @@ func (l *Log) MaxJobID() int64 {
 	return maxID
 }
 
-// Read parses a standard workload file. Header comments at the top of
-// the file populate Header; unknown comments are preserved in
-// Header.Extra. Data lines must contain exactly 18 integer fields.
-// Read performs only syntactic checks; use Validate for the standard's
-// consistency rules.
+// Read parses a standard workload file: it collects what a Scanner
+// yields. Header comments at the top of the file populate Header;
+// unknown comments are preserved in Header.Extra. Data lines must
+// contain exactly 18 integer fields. Read performs only syntactic
+// checks; use Validate for the standard's consistency rules.
 func Read(r io.Reader) (*Log, error) {
 	log := &Log{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
+	sc := NewScanner(r)
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, ";") {
-			body := strings.TrimPrefix(line, ";")
-			if !log.Header.parseHeaderLine(body) {
-				log.Header.Extra = append(log.Header.Extra, strings.TrimSpace(body))
-			}
-			continue
-		}
-		rec, err := ParseRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
-		}
-		log.Records = append(log.Records, rec)
+		log.Records = append(log.Records, sc.Record())
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("swf: read: %w", err)
+		return nil, err
 	}
+	log.Header = sc.Header()
 	return log, nil
 }
 

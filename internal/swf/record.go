@@ -19,8 +19,11 @@ package swf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Status is the completion code of a record (field 11).
@@ -143,64 +146,144 @@ func (r *Record) fields() [NumFields]int64 {
 	}
 }
 
-// setField assigns field i (0-based, file order).
-func (r *Record) setField(i int, v int64) {
-	switch i {
-	case 0:
-		r.JobID = v
-	case 1:
-		r.Submit = v
-	case 2:
-		r.Wait = v
-	case 3:
-		r.RunTime = v
-	case 4:
-		r.Procs = v
-	case 5:
-		r.AvgCPU = v
-	case 6:
-		r.UsedMem = v
-	case 7:
-		r.ReqProcs = v
-	case 8:
-		r.ReqTime = v
-	case 9:
-		r.ReqMem = v
-	case 10:
-		r.Status = Status(v)
-	case 11:
-		r.User = v
-	case 12:
-		r.Group = v
-	case 13:
-		r.App = v
-	case 14:
-		r.Queue = v
-	case 15:
-		r.Partition = v
-	case 16:
-		r.PrecedingJob = v
-	case 17:
-		r.ThinkTime = v
+// setFields assigns all fields from an array in file order, the
+// inverse of fields.
+func (r *Record) setFields(v *[NumFields]int64) {
+	*r = Record{
+		JobID: v[0], Submit: v[1], Wait: v[2], RunTime: v[3], Procs: v[4],
+		AvgCPU: v[5], UsedMem: v[6], ReqProcs: v[7], ReqTime: v[8],
+		ReqMem: v[9], Status: Status(v[10]), User: v[11], Group: v[12],
+		App: v[13], Queue: v[14], Partition: v[15], PrecedingJob: v[16],
+		ThinkTime: v[17],
 	}
 }
 
 // ParseRecord parses a single data line. It requires exactly 18 integer
-// fields separated by whitespace.
+// fields separated by whitespace; see parseRecord for the exact
+// acceptance set. On error the returned Record is zero.
 func ParseRecord(line string) (Record, error) {
 	var r Record
-	fields := strings.Fields(line)
-	if len(fields) != NumFields {
-		return r, fmt.Errorf("swf: record has %d fields, want %d", len(fields), NumFields) //schedlint:allow allocfree error path: a malformed record aborts the scan
-	}
-	for i, f := range fields {
-		v, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return r, fmt.Errorf("swf: field %d %q: not an integer", i+1, f) //schedlint:allow allocfree error path: a malformed record aborts the scan
+	err := parseRecord([]byte(line), &r)
+	return r, err
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseRecord decodes one data line into r without allocating. It is
+// the package's only record parser, behind Scanner (and so Read,
+// ScanStats and CleanStream) and ParseRecord. The acceptance set is the
+// one strings.Fields plus strconv.ParseInt(f, 10, 64) define:
+//
+//   - fields are separated by runs of unicode.IsSpace runes, so besides
+//     ASCII whitespace NEL (U+0085) and NBSP (U+00A0) separate fields;
+//     bytes of invalid UTF-8 belong to the field they sit in;
+//   - a field is an optional '+' or '-' followed by one or more ASCII
+//     decimal digits, within int64 range; anything else (a decimal
+//     point, an exponent, a bare sign) is not an integer;
+//   - a line has exactly NumFields fields.
+//
+// A wrong field count is reported before a bad field, and the first bad
+// field is the one named. r is written only on success.
+func parseRecord(line []byte, r *Record) error {
+	var v [NumFields]int64
+	n := 0                         // fields seen
+	bad, badAt, badEnd := -1, 0, 0 // first non-integer field and its span
+	i := 0
+	for {
+		for i < len(line) && asciiSpace[line[i]] {
+			i++
 		}
-		r.setField(i, v)
+		if i < len(line) && line[i] >= utf8.RuneSelf {
+			i = span(line, i, true)
+		}
+		if i == len(line) {
+			break
+		}
+		start := i
+		neg := false
+		if c := line[i]; c == '+' || c == '-' {
+			neg = c == '-'
+			i++
+		}
+		digits := i
+		for i < len(line) && line[i] == '0' {
+			i++
+		}
+		significant := i
+		var u uint64
+		for ; i < len(line); i++ {
+			d := line[i] - '0'
+			if d > 9 {
+				break
+			}
+			u = u*10 + uint64(d)
+		}
+		// Up to 19 significant digits cannot wrap u, so the range
+		// check against the int64 bounds is exact.
+		limit := uint64(math.MaxInt64)
+		if neg {
+			limit++
+		}
+		ok := i > digits && i-significant <= 19 && u <= limit
+		if i < len(line) && !asciiSpace[line[i]] {
+			// Anything but whitespace after the digits is junk, unless
+			// it is a non-ASCII space.
+			if end := span(line, i, false); end > i {
+				ok, i = false, end
+			}
+		}
+		if n < NumFields {
+			if !ok && bad < 0 {
+				bad, badAt, badEnd = n, start, i
+			}
+			v[n] = int64(u)
+			if neg {
+				v[n] = -v[n]
+			}
+		}
+		n++
 	}
-	return r, nil
+	if n != NumFields {
+		return fieldCountError(n)
+	}
+	if bad >= 0 {
+		return fieldError(bad, line[badAt:badEnd])
+	}
+	r.setFields(&v)
+	return nil
+}
+
+// span returns the end of the run of runes from line[i] on whose
+// unicode.IsSpace is space.
+func span(line []byte, i int, space bool) int {
+	for i < len(line) {
+		c, size := rune(line[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRune(line[i:])
+		}
+		if unicode.IsSpace(c) != space {
+			break
+		}
+		i += size
+	}
+	return i
+}
+
+// fieldCountError reports a line with the wrong number of fields.
+//
+//schedlint:coldpath error path: a malformed record aborts the scan
+//go:noinline
+func fieldCountError(n int) error {
+	return fmt.Errorf("swf: record has %d fields, want %d", n, NumFields)
+}
+
+// fieldError reports field i (0-based) as not an integer.
+//
+//schedlint:coldpath error path: a malformed record aborts the scan
+//go:noinline
+func fieldError(i int, field []byte) error {
+	return fmt.Errorf("swf: field %d %q: not an integer", i+1, field)
 }
 
 // String renders the record as a standard data line.

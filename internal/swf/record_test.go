@@ -1,8 +1,10 @@
 package swf
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,18 +169,102 @@ func TestFieldOrderMatchesStandard(t *testing.T) {
 }
 
 func TestSetFieldCoversAllFields(t *testing.T) {
-	// Every field index must round-trip through setField/fields.
-	var r Record
-	for i := 0; i < NumFields; i++ {
-		r.setField(i, int64(i+100))
+	// Every field index must round-trip through setFields/fields.
+	var v [NumFields]int64
+	for i := range v {
+		v[i] = int64(i + 100)
 	}
+	var r Record
+	r.setFields(&v)
 	got := r.fields()
-	for i, v := range got {
-		if v != int64(i+100) {
-			t.Fatalf("field %d = %d, want %d", i, v, i+100)
+	for i, x := range got {
+		if x != int64(i+100) {
+			t.Fatalf("field %d = %d, want %d", i, x, i+100)
 		}
 	}
 	if reflect.DeepEqual(r, Record{}) {
 		t.Fatal("record unchanged")
 	}
+}
+
+// parseRecordOracle is the string-based parser the readers used before
+// the byte-level one: strings.Fields, then strconv.ParseInt per field.
+// It defines the acceptance set and the error texts parseRecord keeps.
+func parseRecordOracle(line string) (Record, error) {
+	var r Record
+	fields := strings.Fields(line)
+	if len(fields) != NumFields {
+		return r, fmt.Errorf("swf: record has %d fields, want %d", len(fields), NumFields)
+	}
+	var v [NumFields]int64
+	for i, f := range fields {
+		x, err := strconv.ParseInt(f, 10, 64)
+		if err != nil {
+			return r, fmt.Errorf("swf: field %d %q: not an integer", i+1, f)
+		}
+		v[i] = x
+	}
+	r.setFields(&v)
+	return r, nil
+}
+
+// FuzzParseRecord pins the byte-level parser to the string-based
+// oracle: the same Record on success, the same error text on failure.
+// The seeds are the edge cases of the acceptance set: separators,
+// signs, non-integers, the int64 bounds and the field count.
+func FuzzParseRecord(f *testing.F) {
+	const rest = " 0 10 3600 64 3500 2048 64 7200 4096 1 3 2 5 1 1 -1 -1"
+	for _, line := range []string{
+		"1" + rest,
+		"1" + rest + "\r",
+		"1" + rest + "\r\n",
+		"1\t0\v10\f3600 64 3500 2048 64 7200 4096 1 3 2 5 1 1 -1 -1",
+		"1\u00a00\u0085" + rest[3:],
+		"1\u20030" + rest[2:], // EM SPACE
+		"1\u200b0" + rest[2:], // ZERO WIDTH SPACE is not a separator
+		"\xff" + rest,
+		"1\xc2" + rest,
+		"+5" + rest,
+		"-0" + rest,
+		"-" + rest,
+		"+" + rest,
+		"+-5" + rest,
+		"1.5" + rest,
+		"1e3" + rest,
+		"0x10" + rest,
+		"1_000" + rest,
+		"00000000000000000000000000000007" + rest,
+		"9223372036854775807" + rest,
+		"-9223372036854775808" + rest,
+		"-9223372036854775807" + rest,
+		"9223372036854775808" + rest,
+		"9223372036854775809" + rest,
+		"-9223372036854775809" + rest,
+		"0009223372036854775807" + rest,
+		"-0009223372036854775808" + rest,
+		"0009223372036854775808" + rest,
+		"18446744073709551616" + rest,
+		"99999999999999999999999" + rest,
+		"1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17",
+		"1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19",
+		"x 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17",
+		"",
+		"   \t ",
+		";1" + rest,
+		"1 0 10 3600 64 3500 2048 64 7200 4096 done 3 2 5 1 1 -1 -1",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		want, wantErr := parseRecordOracle(line)
+		got, err := ParseRecord(line)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("ParseRecord(%q) error %v, oracle %v", line, err, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Fatalf("ParseRecord(%q) error %q, oracle %q", line, err, wantErr)
+		case err == nil && got != want:
+			t.Fatalf("ParseRecord(%q) = %+v, oracle %+v", line, got, want)
+		}
+	})
 }

@@ -10,9 +10,9 @@ package swf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Scanner incrementally parses a standard workload file. Usage mirrors
@@ -46,35 +46,42 @@ func NewScanner(r io.Reader) *Scanner {
 
 // Scan advances to the next data record, consuming any comment lines on
 // the way. It returns false at end of input or on error (check Err).
+// Data lines are parsed in place from the read buffer, so a scan over
+// data records does not allocate.
 func (s *Scanner) Scan() bool {
 	if s.err != nil {
 		return false
 	}
 	for s.sc.Scan() {
 		s.lineNo++
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(s.sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if strings.HasPrefix(line, ";") {
-			body := strings.TrimPrefix(line, ";")
-			if !s.header.parseHeaderLine(body) {
-				s.header.Extra = append(s.header.Extra, strings.TrimSpace(body))
-			}
+		if line[0] == ';' {
+			s.header.foldComment(line[1:])
 			continue
 		}
-		rec, err := ParseRecord(line)
-		if err != nil {
-			s.err = fmt.Errorf("line %d: %w", s.lineNo, err) //schedlint:allow allocfree error path: a malformed header aborts the scan
+		if err := parseRecord(line, &s.rec); err != nil {
+			s.fail(s.lineNo, "", err)
 			return false
 		}
-		s.rec = rec
 		return true
 	}
 	if err := s.sc.Err(); err != nil {
-		s.err = fmt.Errorf("swf: read: %w", err) //schedlint:allow allocfree error path: a malformed record aborts the scan
+		// bufio.Scanner gave up on the line after the last one counted,
+		// typically because it is longer than the buffer cap.
+		s.fail(s.lineNo+1, "swf: read: ", err)
 	}
 	return false
+}
+
+// fail records the first error, prefixed with the line it arose on.
+//
+//schedlint:coldpath error path: a malformed or unreadable line aborts the scan
+//go:noinline
+func (s *Scanner) fail(lineNo int, prefix string, err error) {
+	s.err = fmt.Errorf("line %d: %s%w", lineNo, prefix, err)
 }
 
 // Record returns the record produced by the last successful Scan.

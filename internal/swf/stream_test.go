@@ -1,7 +1,9 @@
 package swf
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -11,7 +13,7 @@ const miniFixture = "../workload/trace/testdata/mini.swf"
 
 // renderLog round-trips a log through the textual format so the
 // streaming scanners read exactly what the materialized reader reads.
-func renderLog(t *testing.T, log *Log) []byte {
+func renderLog(t testing.TB, log *Log) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, log); err != nil {
@@ -20,7 +22,7 @@ func renderLog(t *testing.T, log *Log) []byte {
 	return buf.Bytes()
 }
 
-func readFixture(t *testing.T) *Log {
+func readFixture(t testing.TB) *Log {
 	t.Helper()
 	log, err := ReadFile(miniFixture)
 	if err != nil {
@@ -108,15 +110,26 @@ func TestScanStatsRejectsFeedbackLogs(t *testing.T) {
 // streamable log and CleanStream reproduces its replayable records.
 func cleanEquiv(t *testing.T, log *Log) {
 	t.Helper()
-	raw := renderLog(t, log)
-	clean, rep := Clean(log)
+	if !cleanEquivRaw(t, renderLog(t, log)) {
+		t.Fatal("log should be streamable")
+	}
+}
+
+// cleanEquivRaw reads raw both ways. Read and ScanStats must fail
+// alike; if ScanStats marks the log Streamable, its report must be
+// Clean's and CleanStream must yield Clean's records minus the
+// unknown-submit ones. It reports whether the log was streamable.
+func cleanEquivRaw(t *testing.T, raw []byte) bool {
+	t.Helper()
+	log, readErr := Read(bytes.NewReader(raw))
 	st, err := ScanStats(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ScanStats: %v", err)
+	if (err == nil) != (readErr == nil) || err != nil && err.Error() != readErr.Error() {
+		t.Fatalf("ScanStats error %v, Read error %v", err, readErr)
 	}
-	if !st.Streamable {
-		t.Fatalf("log should be streamable; stats %+v", st)
+	if err != nil || !st.Streamable {
+		return false
 	}
+	clean, rep := Clean(log)
 	if st.Report != rep {
 		t.Fatalf("CleanReport diverges:\nscan  %+v\nclean %+v", st.Report, rep)
 	}
@@ -149,6 +162,7 @@ func cleanEquiv(t *testing.T, log *Log) {
 			t.Fatalf("record %d differs:\nstream %+v\nclean  %+v", i, got[i], want[i])
 		}
 	}
+	return true
 }
 
 func TestStreamingCleanMatchesCleanOnCleanedFixture(t *testing.T) {
@@ -161,12 +175,14 @@ func TestStreamingCleanMatchesCleanOnCleanedFixture(t *testing.T) {
 	cleanEquiv(t, clean)
 }
 
-func TestStreamingCleanMatchesCleanOnAdversarialLogs(t *testing.T) {
+// adversarialLogs are small streamable logs, each exercising one way
+// a log on disk differs from its cleaned form.
+func adversarialLogs() map[string]*Log {
 	rec := func(id, submit, runtime, procs int64) Record {
 		return Record{JobID: id, Submit: submit, RunTime: runtime, Procs: procs,
 			AvgCPU: -1, Status: StatusCompleted, PrecedingJob: -1, ThinkTime: -1}
 	}
-	cases := map[string]*Log{
+	return map[string]*Log{
 		"epoch shift + sparse ids": {Records: []Record{
 			rec(3, 915000000, 100, 4),
 			rec(7, 915000050, 200, 8),
@@ -186,9 +202,32 @@ func TestStreamingCleanMatchesCleanOnAdversarialLogs(t *testing.T) {
 			rec(4, 12, 10, 64), // oversize vs any header claim; survives cleaning
 		}},
 	}
-	for name, log := range cases {
+}
+
+func TestStreamingCleanMatchesCleanOnAdversarialLogs(t *testing.T) {
+	for name, log := range adversarialLogs() {
 		t.Run(name, func(t *testing.T) { cleanEquiv(t, log) })
 	}
+}
+
+// FuzzCleanStream checks the streaming clean against the materialized
+// one on arbitrary input: whatever ScanStats marks Streamable must
+// clean identically both ways.
+func FuzzCleanStream(f *testing.F) {
+	for _, log := range adversarialLogs() {
+		f.Add(renderLog(f, log))
+	}
+	raw, err := os.ReadFile(miniFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw) // unsorted, so not streamable; the two readers must still agree
+	clean, _ := Clean(readFixture(f))
+	f.Add(renderLog(f, clean))
+	f.Add([]byte(";MaxNodes: 8\r\n1 5 -1 10 2 -1 -1 2 20 -1 1 1 1 1 1 1 -1 -1\r\n\n2 6 -1 10 2 -1 -1 2 20 -1 1 1 1 1 1 1 -1 -1\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		cleanEquivRaw(t, raw)
+	})
 }
 
 func TestCleanStreamStopsOnParseError(t *testing.T) {
@@ -196,5 +235,71 @@ func TestCleanStreamStopsOnParseError(t *testing.T) {
 	st, err := ScanStats(strings.NewReader(raw))
 	if err == nil {
 		t.Fatalf("ScanStats accepted a malformed line: %+v", st)
+	}
+}
+
+// loopReader serves data forever, restarting at its end.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.data[l.off:])
+	l.off = (l.off + n) % len(l.data)
+	return n, nil
+}
+
+// TestScannerScanDoesNotAllocate pins the zero-allocation contract of
+// the data-line path: once the scanner exists, scanning records costs
+// no allocation (comment lines, which precede the data, may).
+func TestScannerScanDoesNotAllocate(t *testing.T) {
+	const records = 1000
+	var data strings.Builder
+	for i := 1; i <= records; i++ {
+		rec := Record{JobID: int64(i), Submit: int64(60 * i), Wait: -1,
+			RunTime: 600, Procs: 4, AvgCPU: -1, UsedMem: -1, ReqProcs: 4, ReqTime: 900, ReqMem: -1,
+			Status: StatusCompleted, User: 1, Group: 1, App: 1, Queue: 1, Partition: 1,
+			PrecedingJob: -1, ThinkTime: -1}
+		data.WriteString(rec.String())
+		data.WriteByte('\n')
+	}
+	sc := NewScanner(&loopReader{data: []byte(data.String())})
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < records; i++ {
+			if !sc.Scan() {
+				t.Fatalf("Scan stopped: %v", sc.Err())
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Scanner.Scan: %v allocations per %d records, want 0", allocs, records)
+	}
+}
+
+// overlongLine is a log whose second line exceeds the scanner's 1 MB
+// line cap.
+var overlongLine = ";Version: 2\n" + strings.Repeat("7", 2<<20) + "\n"
+
+func TestScannerReadErrorNamesLine(t *testing.T) {
+	sc := NewScanner(strings.NewReader(overlongLine))
+	for sc.Scan() {
+	}
+	checkTooLong(t, sc.Err())
+}
+
+func TestReadErrorNamesLine(t *testing.T) {
+	_, err := Read(strings.NewReader(overlongLine))
+	checkTooLong(t, err)
+}
+
+// checkTooLong requires err to name line 2 and wrap bufio.ErrTooLong.
+func checkTooLong(t *testing.T, err error) {
+	t.Helper()
+	if err == nil || err.Error() != "line 2: swf: read: "+bufio.ErrTooLong.Error() {
+		t.Fatalf("want the overlong line 2 named, got %v", err)
+	}
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("error %v does not wrap bufio.ErrTooLong", err)
 	}
 }
