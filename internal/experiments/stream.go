@@ -115,42 +115,52 @@ func executeStream(rs RunSpec, src *trace.StreamSource) ([]RunResult, error) {
 	}
 	out := make([]RunResult, 0, len(loads))
 	for _, load := range loads {
-		s, err := sched.Build(rs.Scheduler)
+		r, err := streamLoad(rs, src, opts)
 		if err != nil {
 			return nil, err
 		}
-		col := metrics.NewCollector(rs.Metrics.collectorOptions(s.Name(), src.Name, src.MaxNodes()))
-		runOpts := opts
-		runOpts.Observers = []sim.Observer{col}
-		runOpts.SampleEvery = rs.Metrics.SampleEvery
-		runOpts.DiscardOutcomes = true
-		jr, err := src.Stream(rs.Jobs)
-		if err != nil {
-			return nil, err
-		}
-		// The counting wrapper recovers WorkloadInfo (job count, offered
-		// load over the replayed prefix) from the jobs that actually flow
-		// past, since no workload object exists to ask.
-		cs := &countingStream{js: jr}
-		_, err = sim.RunStream(src.Name, src.MaxNodes(), cs, s, runOpts)
-		cerr := jr.Close()
-		if err != nil {
-			return nil, fmt.Errorf("runspec: simulating %s: %w", rs.Scheduler, err)
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("runspec: trace %s: %w", src.Path, cerr)
-		}
-		out = append(out, RunResult{
-			Load: load,
-			Workload: WorkloadInfo{
-				Name: src.Name, Jobs: cs.jobs, Nodes: src.MaxNodes(),
-				OfferedLoad: cs.offeredLoad(src.MaxNodes()),
-			},
-			Report: col.Report(),
-			Series: col.Series(),
-		})
+		r.Load = load
+		out = append(out, r)
 	}
 	return out, nil
+}
+
+// streamLoad replays the trace once. The reader's Close is deferred so
+// that its decoder goroutine stops even when the scheduler or the
+// collector panics (runCell recovers such panics and carries on).
+func streamLoad(rs RunSpec, src *trace.StreamSource, opts sim.Options) (res RunResult, err error) {
+	s, err := sched.Build(rs.Scheduler)
+	if err != nil {
+		return res, err
+	}
+	col := metrics.NewCollector(rs.Metrics.collectorOptions(s.Name(), src.Name, src.MaxNodes()))
+	opts.Observers = []sim.Observer{col}
+	opts.SampleEvery = rs.Metrics.SampleEvery
+	opts.DiscardOutcomes = true
+	jr, err := src.Stream(rs.Jobs)
+	if err != nil {
+		return res, err
+	}
+	defer func() {
+		if cerr := jr.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("runspec: trace %s: %w", src.Path, cerr)
+		}
+	}()
+	// The counting wrapper recovers WorkloadInfo (job count, offered
+	// load over the replayed prefix) from the jobs that actually flow
+	// past, since no workload object exists to ask.
+	cs := &countingStream{js: jr}
+	if _, err := sim.RunStream(src.Name, src.MaxNodes(), cs, s, opts); err != nil {
+		return res, fmt.Errorf("runspec: simulating %s: %w", rs.Scheduler, err)
+	}
+	return RunResult{
+		Workload: WorkloadInfo{
+			Name: src.Name, Jobs: cs.jobs, Nodes: src.MaxNodes(),
+			OfferedLoad: cs.offeredLoad(src.MaxNodes()),
+		},
+		Report: col.Report(),
+		Series: col.Series(),
+	}, nil
 }
 
 // countingStream passes jobs through while accumulating the aggregate

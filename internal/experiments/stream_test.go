@@ -1,12 +1,20 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"parsched/internal/core"
 	"parsched/internal/sched"
 	"parsched/internal/swf"
+	"parsched/internal/workload/trace"
 )
 
 // cleanedTrace writes the cleaned (streamable) form of the trace
@@ -107,5 +115,59 @@ func TestAutoStreamGateRespectsRunShape(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].Workload.Jobs != 5 {
 		t.Fatalf("truncated stream run reported %+v", res)
+	}
+}
+
+// panicSched is a scheduler that panics on the first arrival.
+type panicSched struct{}
+
+func (panicSched) Name() string                      { return "testpanic" }
+func (panicSched) OnSubmit(sched.Context, *core.Job) { panic("scheduler bug") }
+func (panicSched) OnFinish(sched.Context, *core.Job) {}
+func (panicSched) OnChange(sched.Context)            {}
+
+func init() {
+	sched.Register(sched.Family{
+		Name: "testpanic",
+		Doc:  "test-only scheduler that panics on the first arrival",
+		New:  func(sched.Args) (sched.Scheduler, error) { return panicSched{}, nil },
+	})
+}
+
+// TestStreamedCellPanicStopsDecoder runs a streamed cell whose
+// scheduler panics. runCell recovers the panic; the trace reader's
+// decoder goroutine, blocked on a full read-ahead of a long trace, must
+// still be stopped, so the goroutine count returns to its baseline.
+func TestStreamedCellPanicStopsDecoder(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(";MaxNodes: 8\n")
+	for i := 1; i <= 20000; i++ {
+		fmt.Fprintf(&b, "%d %d -1 60 2 -1 -1 2 90 -1 1 1 1 1 1 1 -1 -1\n", i, 10*i)
+	}
+	path := filepath.Join(t.TempDir(), "long.swf")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.OpenStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := RunSpec{Scheduler: sched.Spec{Family: "testpanic"}, Source: Source{Kind: sourceTrace, Arg: path}}
+	cell := Cell{Runner: Runner{ID: "P", Title: "panicking streamed replay", Run: func(Config) ([]Table, error) {
+		_, err := ExecuteStream(src, rs)
+		return nil, err
+	}}}
+
+	base := runtime.NumGoroutine()
+	out := runCell(context.Background(), cell, Config{})
+	if !strings.Contains(out.Err, "scheduler bug") {
+		t.Fatalf("cell error %q, want the recovered panic", out.Err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cell, %d before: the decoder leaked", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

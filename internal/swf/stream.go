@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Scanner incrementally parses a standard workload file. Usage mirrors
@@ -35,12 +36,17 @@ type Scanner struct {
 	rec    Record
 	err    error
 	lineNo int
+	// comments counts the comment lines folded into header.
+	comments int
 }
+
+// maxLine caps the length of one line; a longer line is a read error.
+const maxLine = 1024 * 1024
 
 // NewScanner returns a scanner reading from r.
 func NewScanner(r io.Reader) *Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	return &Scanner{sc: sc}
 }
 
@@ -59,6 +65,7 @@ func (s *Scanner) Scan() bool {
 			continue
 		}
 		if line[0] == ';' {
+			s.comments++
 			s.header.foldComment(line[1:])
 			continue
 		}
@@ -133,63 +140,202 @@ type StreamStats struct {
 
 // ScanStats runs the statistics pass over one log. Memory is O(1) plus
 // one old job ID per unknown-submit record (needed to reproduce Clean's
-// renumbering count; archive-grade logs have none).
+// renumbering count; archive-grade logs have none). It is the one-range
+// case of ScanStatsFile: a single statsPart over the whole input.
 func ScanStats(r io.Reader) (*StreamStats, error) {
-	st := &StreamStats{}
+	var p statsPart
+	if err := p.scan(r, new(atomic.Bool)); err != nil {
+		return nil, err
+	}
+	return mergeStats([]statsPart{p}), nil
+}
+
+// statsPart accumulates the statistics pass over one line-aligned byte
+// range of a log. It merges exactly with the parts of the ranges before
+// it, unless a later range holds a comment line, which sends
+// ScanStatsFile back to ScanStats.
+type statsPart struct {
+	// later marks a range that does not start the file.
+	later bool
+	// rep holds the per-record tallies (Input, Output, the drop
+	// counters and ClampedCPU).
+	rep         CleanReport
+	noSubmit    int
+	hasFeedback bool
+	header      Header
+	// jobs counts the replayable records; the extrema and sums below
+	// are over them.
+	jobs       int
+	maxJobSize int64
+	totalArea  int64
+	minKnown   int64
+	maxRawEnd  int64
+	// firstKnown and lastKnown are the first and last replayable submit
+	// times, which decide sortedness across a range boundary.
+	firstKnown   int64
+	lastKnown    int64
+	knownsSorted bool // replayable records in submit order
+	lessSorted   bool // the full kept sequence in Clean's sort order
+	seenUnknown  bool
+	// unknownOldIDs holds the file IDs of unknown-submit records, which
+	// Clean renumbers after every replayable one.
+	unknownOldIDs []int64
+	// Renumbering. Replayable record i of the range (from 1) keeps its
+	// ID when delta = JobID-i equals offset, the replayable records in
+	// earlier ranges. The first range's offset is 0, so it counts those
+	// records in kept, O(1) state. A later range learns its offset only
+	// at the merge, so it keeps the run-length sequence of its deltas:
+	// one run per break in its ID sequence, which for a log numbered
+	// consecutively is one per dropped record.
+	kept int
+	runs []deltaRun
+}
+
+// deltaRun is count consecutive replayable records with one delta.
+type deltaRun struct {
+	delta int64
+	count int
+}
+
+// scan runs the statistics pass over r into p and returns the scan
+// error, if any. It sets stop when it fails or when p is a later range
+// holding a comment line, and gives up early, leaving p incomplete,
+// once stop is set.
+func (p *statsPart) scan(r io.Reader, stop *atomic.Bool) error {
 	sc := NewScanner(r)
-
-	knownsSorted := true // replayable records in submit order
-	lessSorted := true   // the full kept sequence in Clean's sort order
-	var prevKnown int64 = -1 << 62
-	seenUnknown := false
-	var minKnown, maxRawEnd int64
-	var unknownOldIDs []int64
-
+	p.knownsSorted, p.lessSorted = true, true
+	p.lastKnown = -1 << 62
 	for sc.Scan() {
+		if stop.Load() {
+			return nil
+		}
+		if p.later && sc.comments > 0 {
+			stop.Store(true)
+			return nil
+		}
 		rec := sc.Record()
-		st.Report.Input++
-		if !cleanOne(&rec, &st.Report) {
+		p.rep.Input++
+		if !cleanOne(&rec, &p.rep) {
 			continue
 		}
-		st.Report.Output++
+		p.rep.Output++
 		if rec.PrecedingJob > 0 {
-			st.HasFeedback = true
+			p.hasFeedback = true
 		}
 		if rec.Submit < 0 {
-			st.DroppedNoSubmit++
-			unknownOldIDs = append(unknownOldIDs, rec.JobID)
-			seenUnknown = true
+			p.noSubmit++
+			p.unknownOldIDs = append(p.unknownOldIDs, rec.JobID)
+			p.seenUnknown = true
 			continue
 		}
-		if rec.Submit < prevKnown {
-			knownsSorted = false
-			lessSorted = false
+		if rec.Submit < p.lastKnown {
+			p.knownsSorted = false
+			p.lessSorted = false
 		}
-		if seenUnknown {
+		if p.seenUnknown {
 			// A known-submit record behind an unknown one: Clean's sort
 			// moves it forward, so the file order is not the sorted order.
-			lessSorted = false
+			p.lessSorted = false
 		}
-		prevKnown = rec.Submit
-		if st.Jobs == 0 || rec.Submit < minKnown {
-			minKnown = rec.Submit
+		p.lastKnown = rec.Submit
+		if p.jobs == 0 {
+			p.firstKnown, p.minKnown = rec.Submit, rec.Submit
+		} else if rec.Submit < p.minKnown {
+			p.minKnown = rec.Submit
 		}
-		st.Jobs++
-		if int64(st.Jobs) != rec.JobID {
-			st.Report.Renumbered++
+		p.jobs++
+		// Wrapping arithmetic keeps delta == offset exactly when
+		// JobID == offset+jobs, whatever the ID.
+		delta := rec.JobID - int64(p.jobs)
+		if !p.later {
+			if delta == 0 {
+				p.kept++
+			}
+		} else if n := len(p.runs); n > 0 && p.runs[n-1].delta == delta {
+			p.runs[n-1].count++
+		} else {
+			p.runs = append(p.runs, deltaRun{delta, 1})
 		}
-		if rec.Procs > st.MaxJobSize {
-			st.MaxJobSize = rec.Procs
+		if rec.Procs > p.maxJobSize {
+			p.maxJobSize = rec.Procs
 		}
-		st.TotalArea += rec.Procs * rec.RunTime
-		if end := rec.Submit + rec.RunTime; end > maxRawEnd {
-			maxRawEnd = end
+		p.totalArea += rec.Procs * rec.RunTime
+		if end := rec.Submit + rec.RunTime; end > p.maxRawEnd {
+			p.maxRawEnd = end
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		stop.Store(true)
+		return err
 	}
-	st.Header = sc.Header()
+	if p.later && sc.comments > 0 {
+		// Header comments fold in file order, so a later range's cannot
+		// merge from its own Header.
+		stop.Store(true)
+		return nil
+	}
+	p.header = sc.Header()
+	return nil
+}
+
+// keptIDs counts the range's replayable records that keep their IDs
+// when offset replayable records precede the range.
+func (p *statsPart) keptIDs(offset int64) int {
+	if !p.later {
+		return p.kept // offset is 0
+	}
+	n := 0
+	for _, r := range p.runs {
+		if r.delta == offset {
+			n += r.count
+		}
+	}
+	return n
+}
+
+// mergeStats combines the parts of consecutive ranges, in file order,
+// into the stats a single pass over their concatenation produces.
+func mergeStats(parts []statsPart) *StreamStats {
+	st := &StreamStats{Header: parts[0].header}
+	knownsSorted, lessSorted := true, true
+	seenUnknown := false
+	prevKnown := int64(-1 << 62)
+	var minKnown, maxRawEnd int64
+	var unknownOldIDs []int64
+	for i := range parts {
+		p := &parts[i]
+		st.Report.Input += p.rep.Input
+		st.Report.Output += p.rep.Output
+		st.Report.DroppedPartials += p.rep.DroppedPartials
+		st.Report.DroppedNoRuntime += p.rep.DroppedNoRuntime
+		st.Report.DroppedNoProcs += p.rep.DroppedNoProcs
+		st.Report.ClampedCPU += p.rep.ClampedCPU
+		st.DroppedNoSubmit += p.noSubmit
+		st.HasFeedback = st.HasFeedback || p.hasFeedback
+		knownsSorted = knownsSorted && p.knownsSorted
+		lessSorted = lessSorted && p.lessSorted
+		if p.jobs > 0 {
+			if p.firstKnown < prevKnown {
+				knownsSorted, lessSorted = false, false
+			}
+			if seenUnknown {
+				lessSorted = false
+			}
+			prevKnown = p.lastKnown
+			if st.Jobs == 0 {
+				minKnown = p.minKnown
+			} else {
+				minKnown = min(minKnown, p.minKnown)
+			}
+			st.Report.Renumbered += p.jobs - p.keptIDs(int64(st.Jobs))
+			maxRawEnd = max(maxRawEnd, p.maxRawEnd)
+			st.MaxJobSize = max(st.MaxJobSize, p.maxJobSize)
+			st.TotalArea += p.totalArea
+			st.Jobs += p.jobs
+		}
+		seenUnknown = seenUnknown || p.seenUnknown
+		unknownOldIDs = append(unknownOldIDs, p.unknownOldIDs...)
+	}
 	st.Report.ResortedRecords = !lessSorted
 	if st.Jobs > 0 && minKnown > 0 {
 		st.Report.ShiftedBy = minKnown
@@ -204,7 +350,7 @@ func ScanStats(r io.Reader) (*StreamStats, error) {
 		}
 	}
 	st.Streamable = st.Jobs > 0 && knownsSorted && !st.HasFeedback
-	return st, nil
+	return st
 }
 
 // CleanStream yields the replayable records of a log exactly as the

@@ -140,3 +140,55 @@ func BenchmarkStreamReplay1MCons(b *testing.B) {
 		replayStream(b, path, sched.NewConservative())
 	}
 }
+
+// BenchmarkOpenStream1M times pass 1 alone: the statistics scan
+// OpenStream runs over the million-job log.
+func BenchmarkOpenStream1M(b *testing.B) {
+	path := streamBenchLog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := trace.OpenStream(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if src.JobCount() != streamBenchJobs {
+			b.Fatalf("statistics pass counted %d jobs", src.JobCount())
+		}
+	}
+}
+
+// BenchmarkJobReaderDrain1M times pass 2 alone: a JobReader decoding
+// the million-job log into core.Jobs, drained with no simulator.
+func BenchmarkJobReaderDrain1M(b *testing.B) {
+	path := streamBenchLog(b)
+	src, err := trace.OpenStream(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jr, err := src.Stream(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			j, err := jr.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if j == nil {
+				break
+			}
+			n++
+		}
+		if err := jr.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if n != streamBenchJobs {
+			b.Fatalf("drained %d jobs", n)
+		}
+	}
+}
