@@ -188,3 +188,37 @@ func BenchmarkRunningSet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueuePass measures one scheduling pass of a priority-queue
+// policy over 1k queued jobs behind a job that holds the whole machine:
+// the pass that runs on every submit, finish and capacity change while
+// the head is blocked.
+func BenchmarkQueuePass(b *testing.B) {
+	for _, name := range []string{"sjf", "lxf"} {
+		b.Run(name, func(b *testing.B) {
+			engine := &des.Engine{}
+			s, err := sched.New(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst, err := sim.NewInstance(engine, "bench", 512, s, sim.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst.SubmitAt(&core.Job{ID: 1, Size: 512, Runtime: 1 << 40, Estimate: 1 << 40}, 0)
+			for i := int64(2); i <= 1001; i++ {
+				est := 60 + (i*7919)%86400
+				inst.SubmitAt(&core.Job{ID: i, Submit: i * 10, Size: 1 + int(i%64), Runtime: est, Estimate: est}, i*10)
+			}
+			engine.RunUntil(20000)
+			if q := s.(sched.QueueReporter).Queued(); len(q) != 1000 {
+				b.Fatalf("queued = %d, want 1000", len(q))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.OnChange(inst)
+			}
+		})
+	}
+}

@@ -223,18 +223,26 @@ func (e *EASY) schedule(ctx Context) {
 		e.shadowHead == e.queue[0].ID && e.shadowVal > now &&
 		(e.shadowStamp == p.Stamp() || e.shadowGrow == p.GrowStamp()) &&
 		e.shadowSize == e.queue[0].Size && e.shadowEst == e.estq[0]
-	for !headBlocked && len(e.queue) > 0 {
-		head := e.queue[0]
-		est := e.estq[0]
+	n := 0
+	for !headBlocked && n < len(e.queue) {
+		head := e.queue[n]
+		est := e.estq[n]
 		if !e.canStartNow(ctx, p, head, est) {
 			break
 		}
 		ctx.Start(head, head.Size)
 		p.TakeStarted(ctx, now, now+est, head.Size)
 		e.markStarted(head.ID, now+est)
-		e.queue = e.queue[1:]
-		e.estq = e.estq[1:]
+		n++
 		e.queueGen++
+	}
+	if n > 0 {
+		// Drop the started heads in place, so the queue keeps its
+		// capacity and later arrivals append without regrowing it.
+		k := copy(e.queue, e.queue[n:])
+		clear(e.queue[k:])
+		e.queue = e.queue[:k]
+		e.estq = e.estq[:copy(e.estq, e.estq[n:])]
 	}
 	if len(e.queue) <= 1 {
 		return

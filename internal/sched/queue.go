@@ -1,31 +1,58 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"parsched/internal/core"
 )
 
-// Order is a queue-ordering policy for QueueScheduler: it returns true
-// when a should run before b. now is the current time (dynamic
-// priorities like expansion factor need it).
-type Order func(ctx Context, now int64, a, b *core.Job) bool
+// queuePolicy is the order in which a QueueScheduler starts its
+// waiting jobs.
+type queuePolicy uint8
+
+const (
+	byArrival      queuePolicy = iota // fcfs, firstfit: submission order
+	byEstimate                        // sjf: estimate ascending
+	byEstimateDesc                    // ljf: estimate descending
+	bySize                            // smallest: processor count ascending
+	byExpansion                       // lxf: expansion factor descending, as of the pass
+)
 
 // QueueScheduler is the family of non-backfilling queue schedulers:
 // jobs wait in a queue ordered by a policy; the scheduler starts jobs
 // from the head while they fit. With Bypass (first-fit), jobs behind a
 // blocked head may start if they fit, which improves utilization at the
 // cost of possible starvation.
+//
+// Every policy breaks ties by job ID. The static policies (sjf, ljf,
+// smallest) keep the queue sorted by inserting each arrival at its
+// place, so a pass reads only the head; lxf, whose priorities move
+// with time, finds its head by one linear scan per start. No pass
+// sorts or allocates.
 type QueueScheduler struct {
 	name   string
-	order  Order
+	policy queuePolicy
 	bypass bool
 	// DrainAware makes the scheduler refuse to start jobs whose
 	// estimated end crosses the start of a known full-machine outage
 	// (scheduling "such that the system is drained up to the outage").
 	DrainAware bool
 
-	queue []*core.Job
+	queue []queued
+	// xf is lxf's per-pass expansion factors, index-aligned with queue
+	// and reused across passes.
+	xf []float64
+}
+
+// queued is a waiting job with the values its policy orders by, taken
+// at submission. Estimates are frozen once a job is queued (a requeued
+// kill comes back through OnSubmit), so two static keys never change
+// order while both jobs wait.
+type queued struct {
+	job *core.Job
+	// key is the estimate (sjf, ljf, lxf) or the size (smallest).
+	key    int64
+	submit int64
 }
 
 // The queue-scheduler families self-register: one family per ordering
@@ -64,68 +91,46 @@ func init() {
 
 // NewFCFS returns first-come-first-served.
 func NewFCFS() *QueueScheduler {
-	return &QueueScheduler{name: "fcfs", order: nil}
+	return &QueueScheduler{name: "fcfs", policy: byArrival}
 }
 
 // NewFirstFit returns FCFS order with bypass: any queued job that fits
 // may start (no reservation for the head, starvation possible).
 func NewFirstFit() *QueueScheduler {
-	return &QueueScheduler{name: "firstfit", order: nil, bypass: true}
+	return &QueueScheduler{name: "firstfit", policy: byArrival, bypass: true}
 }
 
 // NewSJF returns shortest-job-first by runtime estimate.
 func NewSJF() *QueueScheduler {
-	return &QueueScheduler{name: "sjf", order: func(ctx Context, _ int64, a, b *core.Job) bool {
-		ea, eb := ctx.Estimate(a), ctx.Estimate(b)
-		if ea != eb {
-			return ea < eb
-		}
-		return a.ID < b.ID
-	}}
+	return &QueueScheduler{name: "sjf", policy: byEstimate}
 }
 
 // NewLJF returns longest-job-first by runtime estimate.
 func NewLJF() *QueueScheduler {
-	return &QueueScheduler{name: "ljf", order: func(ctx Context, _ int64, a, b *core.Job) bool {
-		ea, eb := ctx.Estimate(a), ctx.Estimate(b)
-		if ea != eb {
-			return ea > eb
-		}
-		return a.ID < b.ID
-	}}
+	return &QueueScheduler{name: "ljf", policy: byEstimateDesc}
 }
 
 // NewSmallestFirst orders by processor count ascending (small jobs slip
 // in first), a classic utilization-friendly but large-job-hostile
 // policy.
 func NewSmallestFirst() *QueueScheduler {
-	return &QueueScheduler{name: "smallest", order: func(_ Context, _ int64, a, b *core.Job) bool {
-		if a.Size != b.Size {
-			return a.Size < b.Size
-		}
-		return a.ID < b.ID
-	}}
+	return &QueueScheduler{name: "smallest", policy: bySize}
 }
 
 // NewLXF returns largest-expansion-factor-first: priority to the job
 // whose (wait + estimate) / estimate is largest — a dynamic
 // slowdown-oriented policy.
 func NewLXF() *QueueScheduler {
-	return &QueueScheduler{name: "lxf", order: func(ctx Context, now int64, a, b *core.Job) bool {
-		xa := expansion(now, a, ctx.Estimate(a))
-		xb := expansion(now, b, ctx.Estimate(b))
-		if xa != xb {
-			return xa > xb
-		}
-		return a.ID < b.ID
-	}}
+	return &QueueScheduler{name: "lxf", policy: byExpansion}
 }
 
-func expansion(now int64, j *core.Job, est int64) float64 {
+// expansion is the expansion factor at now of a job submitted at submit
+// with estimate est.
+func expansion(now, submit, est int64) float64 {
 	if est < 1 {
 		est = 1
 	}
-	wait := now - j.Submit
+	wait := now - submit
 	if wait < 0 {
 		wait = 0
 	}
@@ -146,13 +151,47 @@ func (q *QueueScheduler) Name() string {
 
 // Queued implements QueueReporter.
 func (q *QueueScheduler) Queued() []*core.Job {
-	return append([]*core.Job(nil), q.queue...)
+	jobs := make([]*core.Job, len(q.queue)) //schedlint:allow allocfree QueueReporter hands the caller a copy it owns, as every scheduler's Queued does
+	for i, e := range q.queue {
+		jobs[i] = e.job
+	}
+	return jobs
 }
 
 // OnSubmit implements Scheduler.
 func (q *QueueScheduler) OnSubmit(ctx Context, j *core.Job) {
-	q.queue = append(q.queue, j)
+	e := queued{job: j, submit: j.Submit}
+	switch q.policy {
+	case byEstimate, byEstimateDesc, byExpansion:
+		e.key = ctx.Estimate(j)
+	case bySize:
+		e.key = int64(j.Size)
+	}
+	i := len(q.queue)
+	if q.policy != byArrival && q.policy != byExpansion {
+		// Binary search for the first job e goes before; ties in
+		// (key, ID) stay in submission order.
+		lo := 0
+		for lo < i {
+			m := int(uint(lo+i) >> 1)
+			if q.before(e, q.queue[m]) {
+				i = m
+			} else {
+				lo = m + 1
+			}
+		}
+	}
+	q.queue = slices.Insert(q.queue, i, e)
 	q.schedule(ctx)
+}
+
+// before reports whether a precedes b under a static policy: by key,
+// then by job ID.
+func (q *QueueScheduler) before(a, b queued) bool {
+	if a.key != b.key {
+		return (a.key < b.key) != (q.policy == byEstimateDesc)
+	}
+	return a.job.ID < b.job.ID
 }
 
 // OnFinish implements Scheduler.
@@ -162,32 +201,76 @@ func (q *QueueScheduler) OnFinish(ctx Context, _ *core.Job) { q.schedule(ctx) }
 func (q *QueueScheduler) OnChange(ctx Context) { q.schedule(ctx) }
 
 func (q *QueueScheduler) schedule(ctx Context) {
+	switch {
+	case q.bypass:
+		q.scheduleBypass(ctx)
+	case q.policy == byExpansion:
+		q.scheduleExpansion(ctx)
+	default:
+		// The queue is in start order: start heads while they fit.
+		n := 0
+		for n < len(q.queue) && q.startNow(ctx, q.queue[n].job) {
+			n++
+		}
+		k := copy(q.queue, q.queue[n:])
+		clear(q.queue[k:])
+		q.queue = q.queue[:k]
+	}
+}
+
+// scheduleBypass starts every queued job that fits, in queue order,
+// compacting the queue in the same sweep. One sweep decides as much as
+// rescanning from the head after each start would: within a pass free
+// capacity only falls and the drain test depends only on now, so a job
+// rejected earlier in the sweep stays rejected.
+func (q *QueueScheduler) scheduleBypass(ctx Context) {
+	k := 0
+	for _, e := range q.queue {
+		if !q.startNow(ctx, e.job) {
+			q.queue[k] = e
+			k++
+		}
+	}
+	clear(q.queue[k:])
+	q.queue = q.queue[:k]
+}
+
+// scheduleExpansion is the lxf pass: every queued job's expansion
+// factor is computed once for the pass, and the head is the largest
+// (smaller ID first on ties), found by a linear scan per start.
+func (q *QueueScheduler) scheduleExpansion(ctx Context) {
 	now := ctx.Now()
-	if q.order != nil {
-		ord := q.order
-		sort.SliceStable(q.queue, func(i, k int) bool { return ord(ctx, now, q.queue[i], q.queue[k]) })
+	xf := q.xf[:0]
+	for _, e := range q.queue {
+		xf = append(xf, expansion(now, e.submit, e.key))
 	}
 	for len(q.queue) > 0 {
-		started := false
-		for i, j := range q.queue {
-			if i > 0 && !q.bypass {
-				break
+		h := 0
+		for i := 1; i < len(xf); i++ {
+			if xf[i] > xf[h] || xf[i] == xf[h] && q.queue[i].job.ID < q.queue[h].job.ID {
+				h = i
 			}
-			if !ctx.CanStart(j, j.Size) {
-				continue
-			}
-			if q.DrainAware && crossesFullOutage(ctx, j) {
-				continue
-			}
-			ctx.Start(j, j.Size)
-			q.queue = append(q.queue[:i], q.queue[i+1:]...)
-			started = true
+		}
+		if !q.startNow(ctx, q.queue[h].job) {
 			break
 		}
-		if !started {
-			return
-		}
+		q.queue = slices.Delete(q.queue, h, h+1)
+		xf = slices.Delete(xf, h, h+1)
 	}
+	q.xf = xf
+}
+
+// startNow starts j if it fits now and, when draining, would not run
+// into an announced full-machine outage. It reports whether j started.
+func (q *QueueScheduler) startNow(ctx Context, j *core.Job) bool {
+	if !ctx.CanStart(j, j.Size) {
+		return false
+	}
+	if q.DrainAware && crossesFullOutage(ctx, j) {
+		return false
+	}
+	ctx.Start(j, j.Size)
+	return true
 }
 
 // crossesFullOutage reports whether starting j now would run into an

@@ -114,7 +114,7 @@ type RunEpoch interface {
 // QueueEpoch is optionally implemented by Contexts that can stamp job
 // deliveries: the stamp advances by exactly one for every OnSubmit the
 // context dispatches (fresh submittals and kill-requeues alike). Since
-// a scheduler appends each delivered job to its queue tail, a ledger
+// a backfiller appends each delivered job to its queue tail, a ledger
 // that recorded the stamp alongside its queue length can verify "the
 // queue I walked is a strict prefix of the queue I see" in O(1):
 // deliveries-since-commit must equal the length growth, provided the
@@ -140,6 +140,10 @@ type Scheduler interface {
 
 // QueueReporter is implemented by schedulers that expose their backlog
 // (used by the simulator to detect never-started jobs and by metrics).
+// Queued returns a fresh slice holding exactly the waiting jobs; callers
+// may rely on its contents but not on its order, which need not be the
+// order the scheduler will start them in (lxf, for one, ranks its queue
+// anew on every pass and keeps it in submission order).
 type QueueReporter interface {
 	Queued() []*core.Job
 }

@@ -47,8 +47,9 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 	// submit time — so the engine never holds more than one pending
 	// arrival, and the event count per arrival instant matches Run's
 	// replay cursor exactly (the streaming≡batch tests compare counts).
+	// One closure serves every arrival: the job it submits is pending.
 	var (
-		pump       func(j *core.Job)
+		arrive     func()
 		pumpErr    error
 		pulled     int
 		prevSubmit int64
@@ -75,36 +76,34 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 		prevSubmit = j.Submit
 		return j, nil
 	}
-	pump = func(j *core.Job) {
-		pending = j
-		engine.At(j.Submit, des.PriorityTraceArrival, func() {
-			now := engine.Now()
-			for {
-				pending = nil
-				sm.submit(j, now)
-				next, err := pull()
-				if err != nil {
-					pumpErr = err
-					return
-				}
-				if next == nil {
-					return
-				}
-				if next.Submit != now {
-					pump(next)
-					return
-				}
-				j = next
-				pending = j
+	arrive = func() {
+		now := engine.Now()
+		for {
+			j := pending
+			pending = nil
+			sm.submit(j, now)
+			next, err := pull()
+			if err != nil {
+				pumpErr = err
+				return
 			}
-		})
+			if next == nil {
+				return
+			}
+			pending = next
+			if next.Submit != now {
+				engine.At(next.Submit, des.PriorityTraceArrival, arrive)
+				return
+			}
+		}
 	}
 	first, err := pull()
 	if err != nil {
 		return nil, err
 	}
 	if first != nil {
-		pump(first)
+		pending = first
+		engine.At(first.Submit, des.PriorityTraceArrival, arrive)
 	}
 
 	if opts.Outages != nil {
