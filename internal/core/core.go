@@ -221,7 +221,7 @@ func (w *Workload) ClonePrefix(n int) *Workload {
 	out := &Workload{Name: w.Name, MaxNodes: w.MaxNodes, Jobs: make([]*Job, n)}
 	// One backing block for all the copies: a 20k-job clone is two
 	// allocations, not twenty thousand, and the jobs stay contiguous for
-	// the replay cursor's sequential walk.
+	// the arrival pump's sequential pull.
 	block := make([]Job, n)
 	for i, j := range w.Jobs[:n] {
 		block[i] = *j
@@ -345,30 +345,47 @@ func (w *Workload) Users() []int64 {
 }
 
 // Validate checks operational invariants the simulator depends on:
-// sorted submit times, positive sizes within the machine, non-negative
-// runtimes, strictly-earlier feedback references.
+// CheckJob's per-job rules for every job (with no size bound when
+// MaxNodes is not set) and strictly-earlier feedback references.
 func (w *Workload) Validate() error {
+	maxNodes := w.MaxNodes
+	if maxNodes <= 0 {
+		maxNodes = math.MaxInt
+	}
 	var prev int64
 	for i, j := range w.Jobs {
-		if j.ID != int64(i+1) {
-			return fmt.Errorf("job %d: ID %d, want %d", i, j.ID, i+1)
-		}
-		if j.Submit < prev {
-			return fmt.Errorf("job %d: submit %d before previous %d", j.ID, j.Submit, prev)
+		if err := CheckJob(j, i+1, prev, maxNodes); err != nil {
+			return err
 		}
 		prev = j.Submit
-		if j.Size < 1 {
-			return fmt.Errorf("job %d: size %d", j.ID, j.Size)
-		}
-		if w.MaxNodes > 0 && j.Size > w.MaxNodes {
-			return fmt.Errorf("job %d: size %d exceeds machine %d", j.ID, j.Size, w.MaxNodes)
-		}
-		if j.Runtime < 0 {
-			return fmt.Errorf("job %d: negative runtime", j.ID)
-		}
 		if j.PrecedingJob != 0 && (j.PrecedingJob < 0 || j.PrecedingJob >= j.ID) {
 			return fmt.Errorf("job %d: preceding job %d not earlier", j.ID, j.PrecedingJob)
 		}
+	}
+	return nil
+}
+
+// CheckJob checks the rules a replay depends on for job j at position
+// pos (from 1) of a job sequence whose previous job was submitted at
+// prevSubmit: its ID is pos, it is not submitted before its
+// predecessor, its size lies in 1..maxNodes, and its runtime is not
+// negative. Workload.Validate and the simulator's arrival pump both
+// apply it.
+func CheckJob(j *Job, pos int, prevSubmit int64, maxNodes int) error {
+	if j.ID != int64(pos) {
+		return fmt.Errorf("job %d in position %d: IDs must be sequential from 1", j.ID, pos) //schedlint:allow allocfree error path: a malformed job aborts the replay
+	}
+	if j.Submit < prevSubmit {
+		return fmt.Errorf("job %d: submit %d before previous %d", j.ID, j.Submit, prevSubmit) //schedlint:allow allocfree error path: a malformed job aborts the replay
+	}
+	if j.Size < 1 {
+		return fmt.Errorf("job %d: size %d", j.ID, j.Size) //schedlint:allow allocfree error path: a malformed job aborts the replay
+	}
+	if j.Size > maxNodes {
+		return fmt.Errorf("job %d: size %d exceeds machine of %d nodes", j.ID, j.Size, maxNodes) //schedlint:allow allocfree error path: a malformed job aborts the replay
+	}
+	if j.Runtime < 0 {
+		return fmt.Errorf("job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed job aborts the replay
 	}
 	return nil
 }

@@ -58,6 +58,26 @@ func TestWorkloadValidateCatches(t *testing.T) {
 	if err := w.Validate(); err == nil {
 		t.Fatal("non-sequential IDs should fail")
 	}
+
+	w = testWorkload()
+	w.Jobs[0].Runtime = -1
+	if err := w.Validate(); err == nil {
+		t.Fatal("negative runtime should fail")
+	}
+}
+
+func TestWorkloadValidateUnsizedMachine(t *testing.T) {
+	// A workload that names no machine size bounds no job's size; the
+	// per-job check with an explicit machine size still does.
+	w := testWorkload()
+	w.MaxNodes = 0
+	w.Jobs[0].Size = 1000
+	if err := w.Validate(); err != nil {
+		t.Fatalf("unsized machine: %v", err)
+	}
+	if err := CheckJob(w.Jobs[0], 1, 0, 64); err == nil {
+		t.Fatal("CheckJob accepted a job larger than the machine")
+	}
 }
 
 func TestAreaAndTotals(t *testing.T) {

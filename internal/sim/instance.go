@@ -13,9 +13,10 @@ import (
 )
 
 // Instance is one machine + machine scheduler living on a shared event
-// engine. The single-machine entry point Run wraps one Instance; the
-// metacomputing layer (internal/meta) places several Instances on one
-// engine and routes jobs between them — the Figure 1 architecture.
+// engine. The single-machine replay driver (Run, RunStream) wraps one
+// Instance; the metacomputing layer (internal/meta) places several
+// Instances on one engine and routes jobs between them — the Figure 1
+// architecture.
 type Instance struct {
 	// Name labels the machine (site name in grids).
 	Name string
@@ -93,6 +94,10 @@ type Instance struct {
 	// be discarded. The contract is one-directional — equal stamps
 	// guarantee nothing changed; unequal stamps promise nothing.
 	runEpoch uint64
+	// submitted counts fresh submittals (kill-requeues excluded); the
+	// replay driver reports the jobs it pulled but never submitted as
+	// Result.NeverSubmitted.
+	submitted int
 	// submitEpoch counts OnSubmit dispatches (fresh submittals and
 	// kill-requeues alike) — the sched.QueueEpoch stamp that lets a
 	// scheduler's reservation ledger prove its walked queue is a strict
@@ -103,11 +108,11 @@ type Instance struct {
 	nextResvID  int64
 
 	// pruneFinal deletes a job's outcome entry the moment its final
-	// outcome is emitted (completion or permanent drop). RunStream sets
-	// it under DiscardOutcomes: observers have already seen the outcome,
-	// nothing reads it later, and keeping it would make the outcome map
-	// grow with the trace — the one O(jobs) structure left in a
-	// streaming replay. The map then holds only in-flight jobs.
+	// outcome is emitted (completion or permanent drop). The replay
+	// driver sets it under DiscardOutcomes: observers have already seen
+	// the outcome, nothing reads it later, and keeping it would make the
+	// outcome map grow with the trace — the one O(jobs) structure left in
+	// a replay. The map then holds only in-flight jobs.
 	pruneFinal bool
 
 	// FinishHook, when set, observes every final job termination
@@ -160,7 +165,7 @@ func (sm *Instance) Machine() *cluster.Machine { return sm.machine }
 
 // SubmitAt schedules job j to arrive at time t.
 //
-//schedlint:hotpath entry point: arrival injection for materialized replays
+//schedlint:hotpath entry point: arrival injection for meta grids and benchmarks
 func (sm *Instance) SubmitAt(j *core.Job, t int64) {
 	sm.engine.At(t, des.PriorityArrival, func() { sm.submit(j, t) })
 }
@@ -242,8 +247,8 @@ func (sm *Instance) ReservationOutcomes() []ReservationOutcome {
 	return append([]ReservationOutcome(nil), sm.resvResults...)
 }
 
-// AnnounceOutage makes an outage window visible to the scheduler from
-// the current instant (the sim.Run wrapper schedules these from the
+// announceOutage makes an outage window visible to the scheduler from
+// the current instant (the replay driver schedules these from the
 // outage log).
 func (sm *Instance) announceOutage(win sched.Window, announced int64) {
 	if n := len(sm.outageWins); n > 0 && win.Start < sm.outageWins[n-1].win.Start {
@@ -293,7 +298,7 @@ func (sm *Instance) Reserve(r sched.Reservation) int64 {
 }
 
 // ---------------------------------------------------------------------
-// internals (shared with sim.Run)
+// internals (shared with the replay driver)
 
 // submit delivers a job to the scheduler, recording its effective
 // submittal time (feedback shifts it relative to the workload file).
@@ -308,6 +313,7 @@ func (sm *Instance) submit(j *core.Job, effective int64) {
 		Start: -1, End: -1, Size: j.Size, Runtime: j.Runtime,
 	}
 	sm.outcomes[j.ID] = o
+	sm.submitted++
 	sm.submitEpoch++
 	sm.callback(func() { sm.schedule.OnSubmit(sm, j) })
 }

@@ -9,8 +9,13 @@
 // The simulator owns time (internal/des), resources
 // (internal/cluster), and job lifecycles; the scheduler plugs in via
 // the internal/sched interfaces. All runs are deterministic. The
-// single-machine entry point is Run; multi-machine grids assemble
-// Instances directly (see internal/meta).
+// single-machine entry points are Run, for a materialized workload, and
+// RunStream, for a pull-based job stream; both replay through one
+// driver, whose arrival pump keeps one arrival event in flight and
+// whose outcome map is pruned under Options.DiscardOutcomes. Only Run
+// supports feedback, since a closed loop needs the dependent jobs in
+// hand. Multi-machine grids assemble Instances directly (see
+// internal/meta).
 package sim
 
 import (
@@ -135,94 +140,20 @@ type runState struct {
 }
 
 // Run simulates workload w under scheduler s. The workload is cloned;
-// the caller's copy is never mutated (schedulers may mold jobs).
+// the caller's copy is never mutated (schedulers may mold jobs). The
+// clone is replayed by RunStream's driver over a slice-backed stream;
+// under Options.Feedback its dependent jobs wait for their predecessor
+// instead of arriving at their recorded submit time.
 func Run(w *core.Workload, s sched.Scheduler, opts Options) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid workload: %w", err)
 	}
 	w = w.Clone()
-
-	// Arrivals are delivered by one self-rearming cursor walking the
-	// submit-sorted job list, so the peak pending-event population is
-	// one finish event per running job plus the injected streams — not
-	// one event per trace job; pre-sizing the engine for that makes the
-	// run allocation-free in steady state.
-	engine := des.NewEngine(w.MaxNodes + 2*len(opts.Reservations) + 64)
-	sm, err := NewInstance(engine, w.Name, w.MaxNodes, s, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Arrival events: one cursor event replays the trace in submit
-	// order (feedback jobs wait for their predecessor instead),
-	// delivering every same-instant arrival in one firing. The cursor's
-	// PriorityTraceArrival class keeps those batches ordered before
-	// same-instant feedback resubmissions, exactly as the old
-	// event-per-job materialization did by insertion sequence — and one
-	// live closure replaces len(Jobs) of them.
+	var awaiting []*core.Job
 	if opts.Feedback {
-		for _, j := range w.Jobs {
-			if j.PrecedingJob > 0 {
-				sm.AwaitPredecessor(j)
-			}
-		}
+		awaiting = w.Jobs
 	}
-	next := 0
-	skipAwaited := func() {
-		for next < len(w.Jobs) && opts.Feedback && w.Jobs[next].PrecedingJob > 0 {
-			next++
-		}
-	}
-	var cursor func()
-	cursor = func() {
-		now := engine.Now()
-		for {
-			j := w.Jobs[next]
-			next++
-			sm.submit(j, now)
-			skipAwaited()
-			if next >= len(w.Jobs) || w.Jobs[next].Submit != now {
-				break
-			}
-		}
-		if next < len(w.Jobs) {
-			engine.At(w.Jobs[next].Submit, des.PriorityTraceArrival, cursor)
-		}
-	}
-	skipAwaited()
-	if next < len(w.Jobs) {
-		engine.At(w.Jobs[next].Submit, des.PriorityTraceArrival, cursor)
-	}
-
-	// Outage events: announcements make windows visible; node
-	// transitions batched by timestamp change the machine.
-	if opts.Outages != nil {
-		scheduleOutages(engine, sm, opts.Outages)
-	}
-
-	// Reservation events: become visible at announcement, claim
-	// processors at start, release at end.
-	for _, r := range opts.Reservations {
-		r := r
-		announce := r.Announced
-		if announce < 0 {
-			announce = 0
-		}
-		if announce > r.Start {
-			announce = r.Start
-		}
-		engine.At(announce, des.PriorityOutage, func() { sm.Reserve(r) })
-	}
-
-	scheduleSampling(engine, sm, opts)
-
-	if opts.Horizon > 0 {
-		engine.RunUntil(opts.Horizon)
-	} else {
-		engine.Run()
-	}
-
-	return collect(sm, w, engine), nil
+	return run(w.Name, w.MaxNodes, core.NewSliceStream(w.Jobs), s, opts, awaiting)
 }
 
 // scheduleSampling installs the recurring instrumentation event that
@@ -287,39 +218,4 @@ func scheduleOutages(engine *des.Engine, sm *Instance, log *outage.Log) {
 		}
 		i = k
 	}
-}
-
-// collect assembles the result after the event loop drains. Jobs that
-// never reached a final termination (still queued or running at the
-// horizon) are flushed to the observers here — final outcomes were
-// already delivered at event time — so observers see every submitted
-// job exactly once.
-func collect(sm *Instance, w *core.Workload, engine *des.Engine) *Result {
-	res := &Result{Scheduler: sm.schedule.Name(), Workload: w.Name, Events: engine.Processed}
-	if !sm.opts.DiscardOutcomes {
-		res.Outcomes = make([]metrics.Outcome, 0, len(w.Jobs))
-	}
-	for _, j := range w.Jobs {
-		o, ok := sm.outcomes[j.ID]
-		if !ok {
-			// Feedback job whose predecessor never terminated.
-			res.NeverSubmitted++
-			continue
-		}
-		oo := *o
-		if oo.End < 0 {
-			// Still queued or running when the simulation ended.
-			if rs, running := sm.running[j.ID]; running {
-				oo.Start = rs.start
-			}
-			if !oo.Dropped {
-				sm.emit(oo)
-			}
-		}
-		if !sm.opts.DiscardOutcomes {
-			res.Outcomes = append(res.Outcomes, oo)
-		}
-	}
-	res.Reservations = sm.resvResults
-	return res
 }

@@ -246,13 +246,50 @@ func TestFeedbackClosedLoop(t *testing.T) {
 }
 
 func TestFeedbackChainNeverSubmitted(t *testing.T) {
-	// Dependent of a job that never finishes within the horizon.
-	w := wl(8, [3]int64{0, 8, 1000}, [3]int64{10, 8, 100})
-	w.Jobs[1].PrecedingJob = 1
-	w.Jobs[1].ThinkTime = 0
-	res := mustRun(t, w, sched.NewFCFS(), Options{Feedback: true, Horizon: 500})
-	if res.NeverSubmitted != 1 {
-		t.Fatalf("NeverSubmitted = %d", res.NeverSubmitted)
+	// Job 2 depends on job 1 and is never submitted inside the horizon;
+	// job 3 is independent and finishes early, so under DiscardOutcomes
+	// its outcome entry is pruned before the run is collected.
+	const horizon = 500
+	cases := []struct {
+		name           string
+		run1, think2   int64
+		wantUnfinished int
+	}{
+		// Job 1 is still running at the horizon.
+		{name: "predecessor running at horizon", run1: 1000, think2: 0, wantUnfinished: 1},
+		// Job 1 finishes at 100 and releases job 2, whose think time
+		// lands it at 1100, after the horizon.
+		{name: "think time past horizon", run1: 100, think2: 1000, wantUnfinished: 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := wl(8, [3]int64{0, 4, c.run1}, [3]int64{10, 4, 100}, [3]int64{20, 4, 50})
+			w.Jobs[1].PrecedingJob = 1
+			w.Jobs[1].ThinkTime = c.think2
+			opts := Options{Feedback: true, Horizon: horizon}
+			kept := mustRun(t, w, sched.NewFCFS(), opts)
+
+			col := metrics.NewCollector(metrics.CollectorOptions{Procs: w.MaxNodes})
+			opts.DiscardOutcomes = true
+			opts.Observers = []Observer{col}
+			pruned := mustRun(t, w, sched.NewFCFS(), opts)
+
+			if kept.NeverSubmitted != 1 || pruned.NeverSubmitted != kept.NeverSubmitted {
+				t.Fatalf("NeverSubmitted = %d retained, %d pruned; want 1 both", kept.NeverSubmitted, pruned.NeverSubmitted)
+			}
+			if n := len(kept.Outcomes) + kept.NeverSubmitted; n != len(w.Jobs) {
+				t.Fatalf("retained: %d outcomes + %d never submitted for %d jobs", len(kept.Outcomes), kept.NeverSubmitted, len(w.Jobs))
+			}
+			r := col.Report()
+			if n := r.Jobs + pruned.NeverSubmitted; n != len(w.Jobs) {
+				t.Fatalf("pruned: %d observed + %d never submitted for %d jobs", r.Jobs, pruned.NeverSubmitted, len(w.Jobs))
+			}
+			want := kept.Report(w.MaxNodes)
+			if r.Finished != want.Finished || r.Unfinished != want.Unfinished || r.Unfinished != c.wantUnfinished {
+				t.Fatalf("population: pruned %d finished, %d unfinished; retained %d, %d; want %d unfinished",
+					r.Finished, r.Unfinished, want.Finished, want.Unfinished, c.wantUnfinished)
+			}
+		})
 	}
 }
 
@@ -360,6 +397,31 @@ func TestInvalidWorkloadRejected(t *testing.T) {
 	w := wl(8, [3]int64{0, 16, 100}) // size > machine
 	if _, err := Run(w, sched.NewFCFS(), Options{}); err == nil {
 		t.Fatal("oversized job accepted")
+	}
+}
+
+func TestRunStreamRefusesContractViolations(t *testing.T) {
+	// Each stream breaks one per-job rule on its second job, which the
+	// pump pulls from inside the first arrival event.
+	cases := []struct {
+		name   string
+		id     int64
+		second [3]int64
+	}{
+		{"ID gap", 3, [3]int64{10, 4, 100}},
+		{"submit order", 2, [3]int64{-1, 4, 100}},
+		{"size 0", 2, [3]int64{10, 0, 100}},
+		{"larger than the machine", 2, [3]int64{10, 9, 100}},
+		{"negative runtime", 2, [3]int64{10, 4, -1}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := wl(8, [3]int64{0, 4, 100}, c.second)
+			w.Jobs[1].ID = c.id
+			if _, err := RunStream(w.Name, w.MaxNodes, core.NewSliceStream(w.Jobs), sched.NewFCFS(), Options{}); err == nil {
+				t.Fatal("stream accepted")
+			}
+		})
 	}
 }
 

@@ -1,19 +1,11 @@
 package sim
 
-// RunStream is the pull-based counterpart of Run: instead of cloning a
-// materialized workload and scheduling every arrival event up front, it
-// pulls jobs from a core.JobStream one at a time, keeping exactly one
-// arrival in flight. With Options.DiscardOutcomes (so observers are the
-// only consumers) and outcome pruning, a full trace replay holds O(1)
-// state per job: memory is bounded by the number of jobs simultaneously
-// queued or running, never by trace length.
-
 import (
 	"fmt"
-	"sort"
 
 	"parsched/internal/core"
 	"parsched/internal/des"
+	"parsched/internal/metrics"
 	"parsched/internal/sched"
 )
 
@@ -33,21 +25,37 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 	if opts.Feedback {
 		return nil, fmt.Errorf("sim: streaming replay does not support feedback (closed-loop) mode; use Run") //schedlint:allow allocfree setup error path: rejects the spec before any event fires
 	}
+	return run(name, maxNodes, js, s, opts, nil)
+}
 
-	engine := des.NewEngine(2*len(opts.Reservations) + 256)
+// run is the one replay driver behind Run and RunStream. Under
+// Options.Feedback, awaiting holds every job of the stream: the ones
+// with a preceding job are registered to wait for it before the first
+// event, and the arrival pump skips them when it pulls them.
+func run(name string, maxNodes int, js core.JobStream, s sched.Scheduler, opts Options, awaiting []*core.Job) (*Result, error) {
+	// The peak pending-event population is one finish event per running
+	// job plus the injected streams, not one event per trace job;
+	// pre-sizing the engine for that makes the run allocation-free in
+	// steady state.
+	engine := des.NewEngine(maxNodes + 2*len(opts.Reservations) + 64)
 	sm, err := NewInstance(engine, name, maxNodes, s, opts)
 	if err != nil {
 		return nil, err
 	}
 	sm.pruneFinal = opts.DiscardOutcomes
+	for _, j := range awaiting {
+		if j.PrecedingJob > 0 {
+			sm.AwaitPredecessor(j)
+		}
+	}
 
 	// The arrival pump: each arrival event submits its job, then keeps
 	// pulling and submitting while the next job is due at the same
-	// instant (file order preserved), and re-arms for the next distinct
-	// submit time — so the engine never holds more than one pending
-	// arrival, and the event count per arrival instant matches Run's
-	// replay cursor exactly (the streaming≡batch tests compare counts).
-	// One closure serves every arrival: the job it submits is pending.
+	// instant (stream order preserved), and re-arms for the next
+	// distinct submit time — so the engine never holds more than one
+	// pending arrival. Its PriorityTraceArrival class orders each batch
+	// before same-instant feedback resubmissions. One closure serves
+	// every arrival: the job it submits is pending.
 	var (
 		arrive     func()
 		pumpErr    error
@@ -56,25 +64,20 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 		pending    *core.Job // scheduled but not yet submitted
 	)
 	pull := func() (*core.Job, error) {
-		j, err := js.Next()
-		if err != nil || j == nil {
-			return nil, err
+		for {
+			j, err := js.Next()
+			if err != nil || j == nil {
+				return nil, err
+			}
+			pulled++
+			if err := core.CheckJob(j, pulled, prevSubmit, maxNodes); err != nil {
+				return nil, fmt.Errorf("sim: %w", err) //schedlint:allow allocfree error path: a malformed stream aborts the replay
+			}
+			prevSubmit = j.Submit
+			if !opts.Feedback || j.PrecedingJob == 0 {
+				return j, nil
+			}
 		}
-		pulled++
-		if j.ID != int64(pulled) {
-			return nil, fmt.Errorf("sim: stream job %d arrived in position %d; IDs must be sequential from 1", j.ID, pulled) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		if j.Submit < prevSubmit {
-			return nil, fmt.Errorf("sim: stream job %d submitted at %d, before predecessor's %d", j.ID, j.Submit, prevSubmit) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		if j.Size < 1 || j.Size > maxNodes {
-			return nil, fmt.Errorf("sim: stream job %d: size %d outside machine of %d nodes", j.ID, j.Size, maxNodes) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		if j.Runtime < 0 {
-			return nil, fmt.Errorf("sim: stream job %d: negative runtime %d", j.ID, j.Runtime) //schedlint:allow allocfree error path: a malformed stream aborts the replay
-		}
-		prevSubmit = j.Submit
-		return j, nil
 	}
 	arrive = func() {
 		now := engine.Now()
@@ -130,25 +133,46 @@ func RunStream(name string, maxNodes int, js core.JobStream, s sched.Scheduler, 
 	if pumpErr != nil {
 		return nil, pumpErr
 	}
-
-	return collectStream(sm, name, engine, js, pending)
+	// The horizon cut the replay off before pending arrived: drain the
+	// unpulled tail so that it counts as never submitted too.
+	for j := pending; j != nil; {
+		if j, err = js.Next(); err != nil {
+			return nil, err
+		}
+		if j != nil {
+			pulled++
+		}
+	}
+	return collect(sm, name, engine, pulled), nil
 }
 
-// collectStream assembles the streaming result. Residual outcomes (jobs
-// still queued or running when the run ended) are flushed to observers
-// in job-ID order, matching collect; under pruning they are the only
-// entries left in the outcome map. Jobs the horizon cut off before
-// their arrival — the scheduled-but-unfired one, plus the unpulled
-// stream tail — count as NeverSubmitted, as they do in Run.
-func collectStream(sm *Instance, name string, engine *des.Engine, js core.JobStream, pending *core.Job) (*Result, error) {
-	res := &Result{Scheduler: sm.schedule.Name(), Workload: name, Events: engine.Processed}
-	ids := make([]int64, 0, len(sm.outcomes)) //schedlint:allow allocfree once per replay, sized after the event loop drains
-	for id := range sm.outcomes {
-		ids = append(ids, id)
+// collect assembles the result once the event loop stops. The pump
+// checked that the stream's IDs run 1..pulled, so walking them visits
+// the outcome map in job-ID order without sorting. Jobs that never
+// reached a final termination (still queued or running at the horizon)
+// are flushed to the observers here — final outcomes were already
+// delivered at event time, and under pruning the residual ones are the
+// only entries left — so observers see every submitted job exactly
+// once. Pulled jobs that were never submitted (cut off by the horizon,
+// or feedback jobs whose predecessor never terminated) count as
+// NeverSubmitted.
+func collect(sm *Instance, name string, engine *des.Engine, pulled int) *Result {
+	res := &Result{
+		Scheduler:      sm.schedule.Name(),
+		Workload:       name,
+		Events:         engine.Processed,
+		NeverSubmitted: pulled - sm.submitted,
+		Reservations:   sm.resvResults,
 	}
-	sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-	for _, id := range ids {
-		oo := *sm.outcomes[id]
+	if !sm.opts.DiscardOutcomes {
+		res.Outcomes = make([]metrics.Outcome, 0, len(sm.outcomes)) //schedlint:allow allocfree once per replay, sized after the event loop stops
+	}
+	for id := int64(1); id <= int64(pulled); id++ {
+		o, ok := sm.outcomes[id]
+		if !ok {
+			continue
+		}
+		oo := *o
 		if oo.End < 0 {
 			if rs, running := sm.running[id]; running {
 				oo.Start = rs.start
@@ -161,19 +185,5 @@ func collectStream(sm *Instance, name string, engine *des.Engine, js core.JobStr
 			res.Outcomes = append(res.Outcomes, oo)
 		}
 	}
-	if pending != nil {
-		res.NeverSubmitted++
-		for {
-			j, err := js.Next()
-			if err != nil {
-				return nil, err
-			}
-			if j == nil {
-				break
-			}
-			res.NeverSubmitted++
-		}
-	}
-	res.Reservations = sm.resvResults
-	return res, nil
+	return res
 }

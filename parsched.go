@@ -267,38 +267,3 @@ func RunExperimentsConfig(cfg ExperimentConfig) ([]ExperimentTable, error) {
 func RunBatteryConfig(ctx context.Context, cfg ExperimentConfig, opts BatchOptions) *BatchResult {
 	return experiments.RunBatch(ctx, experiments.All(), cfg, opts)
 }
-
-// quickOr maps the legacy quick flag onto a configuration.
-func quickOr(quick bool) ExperimentConfig {
-	if quick {
-		return experiments.QuickConfig()
-	}
-	return experiments.Default()
-}
-
-// RunExperiment executes one experiment (E1..E10); quick shrinks the
-// configuration to seconds-scale.
-//
-// Deprecated: use RunExperimentConfig with an explicit
-// ExperimentConfig (QuickExperimentConfig() for quick=true).
-func RunExperiment(id string, quick bool) ([]ExperimentTable, error) {
-	return RunExperimentConfig(id, quickOr(quick))
-}
-
-// RunAllExperiments executes the whole battery in order, serially.
-//
-// Deprecated: use RunExperimentsConfig with an explicit
-// ExperimentConfig.
-func RunAllExperiments(quick bool) ([]ExperimentTable, error) {
-	return RunExperimentsConfig(quickOr(quick))
-}
-
-// RunBattery shards the whole battery (experiments × replications)
-// across a bounded worker pool. parallel <= 0 means NumCPU.
-//
-// Deprecated: use RunBatteryConfig with explicit ExperimentConfig and
-// BatchOptions.
-func RunBattery(ctx context.Context, quick bool, parallel, reps int) *BatchResult {
-	return RunBatteryConfig(ctx, quickOr(quick),
-		BatchOptions{Parallel: parallel, Reps: reps})
-}
